@@ -52,12 +52,20 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import InfeasibleError, SimulationError
 from ..obs.events import current_tracer
+from ..solvers import RegisteredSolver, get_solver
 from .calls import ConferenceCallRequest
 from .faults import FaultInjector, RecoveryPolicy
 from .metrics import CallRecord, LinkUsageMetrics
 from .paging import build_sub_instance
+
+#: The registry planner every contended admission runs on: the batched
+#: Fig. 1 kernel (compiled when available, numpy otherwise), called with a
+#: one-row stack.  Its plans equal ``heuristic-fast`` bit for bit; against
+#: the pure-Python reference ``heuristic`` they can differ on float ties
+#: (docs/contention.md).
+CONTENTION_PLANNER = "heuristic-batch"
 
 # Event kinds, in within-step dispatch order.  Outage transitions flip the
 # channel state before anything else looks at it; movement (which carries
@@ -457,36 +465,49 @@ def plan_pending_call(
     candidate_cells: Sequence[int],
     max_rounds: int,
     *,
-    planner: Callable[..., object],
+    planner: Optional[RegisteredSolver] = None,
     blanket: bool = False,
 ) -> PendingCall:
     """Plan one call's oblivious page schedule for contention execution.
 
     ``blanket`` short-circuits to a single all-candidates group (the GSM
-    baseline).  Otherwise the registry ``planner`` plans the paper's
-    strategy over the candidate sub-instance; groups come out as global
-    cell ids.  Adaptive replanning is deliberately not offered here: under
+    baseline).  Otherwise the batch-capable registry ``planner`` (default
+    :data:`CONTENTION_PLANNER`) plans the paper's strategy over the
+    candidate sub-instance as a one-row ``run_batch``, and the phases are
+    cut straight from that row's order and group sizes as global cell ids
+    — the same groups ``heuristic-fast`` returns, bit for bit.  Raises
+    :class:`~repro.errors.InfeasibleError` when the row has no feasible
+    plan.  Adaptive replanning is deliberately not offered here: under
     contention (and possibly faults) a non-answer may mean a lost or
     deferred page, so treating it as proof of absence would be unsound —
     the same restriction :class:`~repro.cellnet.faults.ResilientPager`
     applies.
     """
-    cells = tuple(int(cell) for cell in candidate_cells)
-    remaining = {
-        local: device for local, device in enumerate(request.participants)
-    }
     if blanket:
-        groups: List[List[int]] = [list(cells)]
+        cells = tuple(int(cell) for cell in candidate_cells)
+        phases = [_Phase(PHASE_STRATEGY, list(cells))] if cells else []
     else:
-        instance, cells = build_sub_instance(priors, cells, max_rounds)
-        strategy = planner(instance).strategy
-        groups = [
-            [cells[j] for j in sorted(group)] for group in strategy.groups
-        ]
-    phases = [_Phase(PHASE_STRATEGY, group) for group in groups if group]
+        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
+        if planner is None:
+            planner = get_solver(CONTENTION_PLANNER)
+        plans = planner.run_batch(
+            instance.float_rows()[None], max_rounds=instance.max_rounds
+        )
+        if not plans.feasible[0]:
+            raise InfeasibleError(
+                f"no feasible plan for {len(cells)} cells in "
+                f"{instance.max_rounds} rounds"
+            )
+        order = plans.orders[0].tolist()
+        phases = []
+        start = 0
+        for size in plans.group_sizes[0].tolist():
+            group = sorted(order[start : start + size])
+            start += size
+            phases.append(_Phase(PHASE_STRATEGY, [cells[j] for j in group]))
     return PendingCall(
         request=request,
         candidate_cells=cells,
         phases=phases,
-        remaining=remaining,
+        remaining=dict(enumerate(request.participants)),
     )

@@ -64,15 +64,20 @@ def build_sub_instance(
     Returns the sub-instance plus the map from sub-index to global cell id.
     ``floor`` keeps renormalized rows strictly positive so the optimizer's
     model assumptions hold even when the prior gives a candidate cell zero
-    mass.
+    mass.  The rows are bit-identical to restricting and renormalizing
+    each prior cell by cell.
     """
-    cells = tuple(int(cell) for cell in candidate_cells)
-    if not cells:
+    index = np.asarray(candidate_cells, dtype=np.intp)
+    if not index.size:
         raise SimulationError("cannot page an empty candidate set")
-    rows = []
-    for prior in priors:
-        restricted = np.array([max(float(prior[cell]), floor) for cell in cells])
-        rows.append(restricted / restricted.sum())
+    cells = tuple(index.tolist())
+    # np.take keeps the restricted rows C-contiguous, so each row sums in
+    # the same (pairwise) order as a 1-D sum; ``stack[:, index]`` would
+    # come out column-major and sum in a different order.
+    restricted = np.maximum(
+        np.take(np.array(priors, dtype=np.float64), index, axis=1), floor
+    )
+    rows = restricted / restricted.sum(axis=1, keepdims=True)
     d = max(1, min(int(max_rounds), len(cells)))
     return PagingInstance(rows, d, allow_zero=True), cells
 

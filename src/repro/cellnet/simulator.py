@@ -41,7 +41,6 @@ import numpy as np
 from ..errors import SimulationError
 from ..obs.events import current_tracer
 from ..obs.instrument import span
-from ..solvers import get_solver
 from .calls import ARRIVAL_MODES, ConferenceCallRequest, PoissonConferenceCalls
 from .database import LocationRegistry
 from .engine import (
@@ -238,11 +237,12 @@ class CellularSimulator:
         ) if len(mobility_models) >= 2 else None
         # Shared-channel contention: a finite channel_capacity switches the
         # engine from the synchronous legacy schedule to queued setup over
-        # per-cell page slots.  The planner is the registry solver matching
-        # the pager; "adaptive" plans its oblivious heuristic strategy (a
-        # non-answer under contention may be a deferred or lost page, so
-        # eliminating cells on silence would be unsound) and "blanket"
-        # bypasses planning entirely inside plan_pending_call.
+        # per-cell page slots.  Every pager but "blanket" (which bypasses
+        # planning inside plan_pending_call) plans on the batched Fig. 1
+        # kernel, engine.CONTENTION_PLANNER; "adaptive" plans its oblivious
+        # heuristic strategy there too (a non-answer under contention may
+        # be a deferred or lost page, so eliminating cells on silence would
+        # be unsound).
         self._resource: Optional[ChannelResource] = None
         self._scheduler: Optional[ChannelScheduler] = None
         if config.contention_active:
@@ -250,12 +250,6 @@ class CellularSimulator:
             self._resource = ChannelResource(
                 topology.num_cells, config.channel_capacity, config.carriers
             )
-            solver_name = (
-                "heuristic"
-                if config.pager in ("adaptive", "blanket")
-                else config.pager
-            )
-            self._planner = get_solver(solver_name)
             self._scheduler = ChannelScheduler(
                 self._resource,
                 self._metrics,
@@ -600,7 +594,6 @@ class CellularSimulator:
             priors,
             candidate_union,
             rounds,
-            planner=self._planner,
             blanket=self._config.pager == "blanket",
         )
         self._scheduler.admit(call)

@@ -55,6 +55,7 @@ __all__ = [
     "compiled_available",
     "load_compiled",
     "resolve_backend",
+    "resolve_kernel",
 ]
 
 #: The recognized ``backend=`` values, in preference order for ``auto``.
@@ -114,17 +115,17 @@ def _object_digest(source: str, compiler: str, version: str) -> str:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    # Arrays are passed as raw integer addresses (``c_void_p``): building a
+    # typed ctypes pointer per array costs more than a one-row plan itself.
     ssize = ctypes.c_ssize_t
-    dptr = ctypes.POINTER(ctypes.c_double)
-    iptr = ctypes.POINTER(ssize)
-    bptr = ctypes.POINTER(ctypes.c_ubyte)
+    ptr = ctypes.c_void_p
     lib.repro_plan_batch.restype = ctypes.c_int
     lib.repro_plan_batch.argtypes = [
-        dptr, ssize, ssize, ssize, ssize, ssize, iptr, iptr, dptr, bptr,
+        ptr, ssize, ssize, ssize, ssize, ssize, ptr, ptr, ptr, ptr,
     ]
     lib.repro_optimize_cuts_batch.restype = ctypes.c_int
     lib.repro_optimize_cuts_batch.argtypes = [
-        dptr, ssize, ssize, ssize, ssize, iptr, dptr, bptr,
+        ptr, ssize, ssize, ssize, ssize, ptr, ptr, ptr,
     ]
     return lib
 
@@ -219,20 +220,29 @@ def resolve_backend(backend: str = "auto") -> str:
     ``planner.backend_fallback`` obs counter.  An explicit ``"compiled"``
     raises :class:`BackendUnavailableError` when the kernel cannot load.
     """
+    return resolve_kernel(backend)[0]
+
+
+def resolve_kernel(backend: str = "auto") -> Tuple[str, Optional[ctypes.CDLL]]:
+    """:func:`resolve_backend` plus the loaded kernel (``None`` for numpy).
+
+    The planners call this once per plan, so each environment override is
+    read once per plan and the kernel is not looked up a second time.
+    """
     if backend == "auto":
-        forced = os.environ.get("REPRO_PLANNER_BACKEND")
-        if forced:
-            backend = forced
+        backend = os.environ.get("REPRO_PLANNER_BACKEND") or "auto"
     if backend == "auto":
-        if compiled_available():
-            return "compiled"
-        count("planner.backend_fallback")
-        return "numpy"
+        try:
+            return "compiled", load_compiled()
+        except BackendUnavailableError:
+            count("planner.backend_fallback")
+            return "numpy", None
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown planner backend {backend!r}; known: auto, "
             + ", ".join(BACKENDS)
         )
     if backend == "compiled":
-        load_compiled()  # raises BackendUnavailableError when absent
-    return backend
+        # raises BackendUnavailableError when absent
+        return backend, load_compiled()
+    return backend, None

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import InfeasibleError
 from ..obs.instrument import observe, span
-from .backends import load_compiled, resolve_backend
+from .backends import resolve_kernel
 from .dp import OrderedDPResult
 from .fast import _gap_tables
 from .instance import PagingInstance
@@ -201,26 +201,56 @@ def _cut_dp_numpy(
     return sizes, values, feasible
 
 
+_WORD = np.dtype(np.intp).itemsize
+
+
+def _address(array: np.ndarray) -> int:
+    """The address of an array's first byte, for the kernel's ``void *``s."""
+    return array.__array_interface__["data"][0]
+
+
+def _kernel_outputs(
+    batch: int, c: int, d: int
+) -> "tuple[tuple[np.ndarray, ...], tuple[int, ...]]":
+    """The C kernel's four output arrays, laid out in one allocation.
+
+    Returns the ``(batch, c)`` orders, ``(batch, d)`` group sizes,
+    ``(batch,)`` values and ``(batch,)`` feasibility flags as views into
+    one word-aligned block, plus each array's address.  One allocation
+    and one address lookup replace four of each: at one row, that fixed
+    cost outweighs the kernel itself.
+    """
+    sizes_at = batch * c
+    values_at = sizes_at + batch * d
+    feasible_at = values_at + batch
+    block = np.empty(feasible_at + -(-batch // _WORD), dtype=np.intp)
+    arrays = (
+        block[:sizes_at].reshape(batch, c),
+        block[sizes_at:values_at].reshape(batch, d),
+        block[values_at:feasible_at].view(np.float64),
+        block[feasible_at:].view(np.bool_)[:batch],
+    )
+    base = _address(block)
+    return arrays, (
+        base,
+        base + sizes_at * _WORD,
+        base + values_at * _WORD,
+        base + feasible_at * _WORD,
+    )
+
+
 def _cut_dp_compiled(
-    finds: np.ndarray, c: int, d: int, b: int
+    lib: ctypes.CDLL, finds: np.ndarray, c: int, d: int, b: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Dispatch the cut DP to the C kernel (``repro_optimize_cuts_batch``)."""
-    lib = load_compiled()
     batch = finds.shape[0]
-    finds = np.ascontiguousarray(finds, dtype=np.float64)
-    sizes = np.empty((batch, d), dtype=np.intp)
-    values = np.empty(batch, dtype=np.float64)
-    feasible = np.empty(batch, dtype=np.uint8)
+    (_orders, sizes, values, feasible), addresses = _kernel_outputs(batch, 0, d)
     status = lib.repro_optimize_cuts_batch(
-        finds.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        batch, c, d, b,
-        sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
-        values.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        feasible.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        _address(finds), batch, c, d, b, *addresses[1:]
     )
     if status != 0:
         raise MemoryError("planner kernel could not allocate scratch space")
-    return sizes, values, feasible.astype(bool)
+    return sizes, values, feasible
 
 
 def optimize_cuts_batch(
@@ -245,9 +275,9 @@ def optimize_cuts_batch(
     c = finds.shape[1] - 1
     d = int(num_rounds)
     b = _validate_budget(c, d, max_group_size)
-    chosen = resolve_backend(backend)
-    if chosen == "compiled":
-        sizes, values, _feasible = _cut_dp_compiled(finds, c, d, b)
+    chosen, lib = resolve_kernel(backend)
+    if lib is not None:
+        sizes, values, _feasible = _cut_dp_compiled(lib, finds, c, d, b)
         return sizes, values
     if finds.shape[0] == 0:
         return np.empty((0, d), dtype=np.intp), np.empty(0, dtype=np.float64)
@@ -306,13 +336,13 @@ def plan_batch(
     batch, m, c = stacked.shape
     d = int(num_rounds)
     b = _validate_budget(c, d, max_group_size)
-    chosen = resolve_backend(backend)
+    chosen, lib = resolve_kernel(backend)
     with span(
         "planner.batch", backend=chosen, batch=batch, cells=c, devices=m, rounds=d
     ):
         observe("planner.batch_size", batch)
-        if chosen == "compiled":
-            orders, sizes, values, feasible = _plan_compiled(stacked, d, b)
+        if lib is not None:
+            orders, sizes, values, feasible = _plan_compiled(lib, stacked, d, b)
         else:
             orders, sizes, values, feasible = _plan_numpy(stacked, d, b, chunk)
     return BatchPlanResult(
@@ -363,23 +393,12 @@ def _plan_numpy(
 
 
 def _plan_compiled(
-    stacked: np.ndarray, d: int, b: int
+    lib: ctypes.CDLL, stacked: np.ndarray, d: int, b: int
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
     """Full pipeline on the C kernel (``repro_plan_batch``)."""
-    lib = load_compiled()
     batch, m, c = stacked.shape
-    orders = np.empty((batch, c), dtype=np.intp)
-    sizes = np.empty((batch, d), dtype=np.intp)
-    values = np.empty(batch, dtype=np.float64)
-    feasible = np.empty(batch, dtype=np.uint8)
-    status = lib.repro_plan_batch(
-        stacked.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        batch, m, c, d, b,
-        orders.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
-        sizes.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
-        values.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        feasible.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-    )
+    outputs, addresses = _kernel_outputs(batch, c, d)
+    status = lib.repro_plan_batch(_address(stacked), batch, m, c, d, b, *addresses)
     if status != 0:
         raise MemoryError("planner kernel could not allocate scratch space")
-    return orders, sizes, values, feasible.astype(bool)
+    return outputs

@@ -77,6 +77,16 @@ class PagingInstance:
         self._cumulative_rows: Optional[np.ndarray] = None
         if validate:
             self._validate(allow_zero)
+        if (
+            isinstance(probabilities, np.ndarray)
+            and probabilities.dtype == np.float64
+            and probabilities.ndim == 2
+        ):
+            # A float64 matrix already holds float_rows() bit for bit; a
+            # private copy saves rebuilding it from the row tuples.
+            rows_array = np.array(probabilities)
+            rows_array.setflags(write=False)
+            self._float_rows = rows_array
 
     def _validate(self, allow_zero: bool) -> None:
         c = self._num_cells

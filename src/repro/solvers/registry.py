@@ -157,17 +157,7 @@ class RegisteredSolver:
                 f"solver {spec.name!r} has no batched entry point; "
                 "check supports_batch before calling run_batch"
             )
-        unknown = sorted(set(options) - set(spec.options))
-        if unknown:
-            raise TypeError(
-                f"solver {spec.name!r} got unknown option(s) {unknown}; "
-                f"accepted: {sorted(spec.options)}"
-            )
-        missing = sorted(set(spec.required) - set(options))
-        if missing:
-            raise TypeError(
-                f"solver {spec.name!r} requires option(s) {missing}"
-            )
+        _check_options(spec, options)
         size = len(instances) if hasattr(instances, "__len__") else None
         with span(
             "solver.run_batch", solver=spec.name, kind=spec.kind, batch=size
@@ -176,17 +166,7 @@ class RegisteredSolver:
 
     def __call__(self, instance: PagingInstance, **options: object) -> SolverResult:
         spec = self.spec
-        unknown = sorted(set(options) - set(spec.options))
-        if unknown:
-            raise TypeError(
-                f"solver {spec.name!r} got unknown option(s) {unknown}; "
-                f"accepted: {sorted(spec.options)}"
-            )
-        missing = sorted(set(spec.required) - set(options))
-        if missing:
-            raise TypeError(
-                f"solver {spec.name!r} requires option(s) {missing}"
-            )
+        _check_options(spec, options)
         with span("solver.run", solver=spec.name, kind=spec.kind):
             start = time.perf_counter()
             strategy, value, extras = self.adapter(instance, **options)
@@ -199,6 +179,21 @@ class RegisteredSolver:
             capabilities=spec.capabilities,
             wall_time_s=elapsed,
             extras=dict(extras),
+        )
+
+
+def _check_options(spec: SolverSpec, options: Mapping[str, object]) -> None:
+    """Reject options outside ``spec.options`` and missing required ones."""
+    unknown = options.keys() - spec.options
+    if unknown:
+        raise TypeError(
+            f"solver {spec.name!r} got unknown option(s) {sorted(unknown)}; "
+            f"accepted: {sorted(spec.options)}"
+        )
+    missing = set(spec.required) - options.keys()
+    if missing:
+        raise TypeError(
+            f"solver {spec.name!r} requires option(s) {sorted(missing)}"
         )
 
 

@@ -1,5 +1,8 @@
 """Unit and determinism tests for the event-driven contention engine."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,14 +19,21 @@ from repro.cellnet import (
     RecoveryPolicy,
     SimulationConfig,
 )
+from repro.cellnet import simulator as simulator_module
 from repro.cellnet.engine import (
     ARRIVAL,
+    CONTENTION_PLANNER,
     MOVEMENT,
     OUTAGE_START,
     PAGING_ROUND,
+    PHASE_STRATEGY,
+    plan_pending_call,
 )
-from repro.errors import SimulationError
+from repro.cellnet.paging import build_sub_instance
+from repro.core import compiled_available, plan_batch
+from repro.errors import InfeasibleError, SimulationError
 from repro.obs import MemorySink, Tracer, use_tracer
+from repro.solvers import get_solver
 
 
 class TestEventEngine:
@@ -141,9 +151,10 @@ def build_contention_simulator(
     horizon=250,
     seed=11,
     devices=8,
+    rng=None,
     **overrides,
 ):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if rng is None else rng
     topology = CellTopology.hexagonal_disk(2)
     plan = LocationAreaPlan.by_bfs(topology, 3)
     models = [RandomWalk(topology, stay_probability=0.3) for _ in range(devices)]
@@ -265,3 +276,136 @@ class TestContentionBehavior:
             SimulationConfig(max_wait=-1)
         with pytest.raises(SimulationError):
             SimulationConfig(arrival_mode="weibull")
+
+
+def _capture_admissions(**overrides):
+    """Every ``plan_pending_call`` argument tuple of a short contended run."""
+    captured = []
+
+    def recording(request, priors, candidate_cells, max_rounds, **options):
+        captured.append((request, list(priors), tuple(candidate_cells), max_rounds))
+        return plan_pending_call(
+            request, priors, candidate_cells, max_rounds, **options
+        )
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator_module, "plan_pending_call", recording)
+        build_contention_simulator(**overrides).run()
+    assert captured
+    return captured
+
+
+class TestPlanPendingCall:
+    """The contended admission path plans on the batched Fig. 1 kernel."""
+
+    def test_contention_planner_is_the_batch_kernel(self):
+        assert CONTENTION_PLANNER == "heuristic-batch"
+        assert get_solver(CONTENTION_PLANNER).supports_batch
+
+    def test_phases_equal_heuristic_fast_groups(self):
+        fast = get_solver("heuristic-fast")
+        admissions = _capture_admissions(call_rate=1.0, horizon=80)
+        for request, priors, candidates, rounds in admissions:
+            call = plan_pending_call(request, priors, candidates, rounds)
+            instance, cells = build_sub_instance(priors, candidates, rounds)
+            expected = [
+                [cells[j] for j in sorted(group)]
+                for group in fast(instance).strategy.groups
+            ]
+            assert [phase.pending for phase in call.phases] == expected
+            assert {phase.kind for phase in call.phases} == {PHASE_STRATEGY}
+            assert call.candidate_cells == cells
+            assert call.remaining == dict(enumerate(request.participants))
+
+    @pytest.mark.skipif(not compiled_available(), reason="no C toolchain")
+    def test_numpy_rows_equal_compiled_rows(self):
+        admissions = _capture_admissions(call_rate=1.0, horizon=80)
+        for _request, priors, candidates, rounds in admissions:
+            instance, _cells = build_sub_instance(priors, candidates, rounds)
+            rows = instance.float_rows()[None]
+            numpy = plan_batch(rows, instance.max_rounds, backend="numpy")
+            compiled = plan_batch(rows, instance.max_rounds, backend="compiled")
+            assert numpy.orders.tolist() == compiled.orders.tolist()
+            assert numpy.group_sizes.tolist() == compiled.group_sizes.tolist()
+            assert numpy.values.tolist() == compiled.values.tolist()
+            assert numpy.feasible.tolist() == compiled.feasible.tolist() == [True]
+
+    def test_blanket_pages_every_candidate_at_once(self):
+        request, priors, candidates, rounds = _capture_admissions(horizon=30)[0]
+        call = plan_pending_call(request, priors, candidates, rounds, blanket=True)
+        assert [phase.pending for phase in call.phases] == [list(candidates)]
+
+    def test_infeasible_row_raises(self):
+        request, priors, candidates, rounds = _capture_admissions(horizon=30)[0]
+
+        class NoPlan:
+            def run_batch(self, rows, max_rounds):
+                batch = plan_batch(rows, max_rounds)
+                feasible = np.zeros_like(batch.feasible)
+                return type(batch)(
+                    batch.orders, batch.group_sizes, batch.values, feasible,
+                    batch.backend,
+                )
+
+        with pytest.raises(InfeasibleError):
+            plan_pending_call(request, priors, candidates, rounds, planner=NoPlan())
+
+
+#: Contended-path regression pins, recorded from the engine planning every
+#: admission on ``heuristic-batch``.  Each pair hashes the run's summary
+#: plus the next eight rng draws, and the per-call records.  Both backends
+#: of the batched planner must reproduce them.
+CONTENDED_SCENARIOS = {
+    "no_faults": dict(call_rate=1.0, horizon=150),
+    "faults_and_outage": dict(
+        call_rate=1.0,
+        horizon=150,
+        faults=FaultModel(
+            page_loss=0.2, outages=(CellOutage(cell=0, start=20, end=90),)
+        ),
+        recovery=RecoveryPolicy(max_retries=1, backoff_base=1),
+    ),
+}
+
+CONTENDED_DIGESTS = {
+    "no_faults": (
+        "558c051aeb89231714268b09eb5e12b8f1b3d1c2b76a29b5f7170d9126a58d26",
+        "8ce8f249461109643954ed197ed979f3c345ef5fd83b4deadddb740fb315f254",
+    ),
+    "faults_and_outage": (
+        "9cbcee5fcd41b5bf5877da9d24ca3490fb3948aef811e4cc890300173fd25c6b",
+        "e75afb3752089121d1855757fa4b3b7158e615ed0d1cc4cc72cf15b255b8b80b",
+    ),
+}
+
+
+def _contended_digests(**overrides):
+    rng = np.random.default_rng(11)
+    report = build_contention_simulator(rng=rng, **overrides).run()
+    tail = [float(rng.random()) for _ in range(8)]
+    digest = hashlib.sha256(
+        json.dumps([report.summary(), tail], sort_keys=True).encode()
+    ).hexdigest()
+    records = [
+        (r.time, r.participants, r.cells_paged, r.rounds_used, r.used_fallback,
+         r.failed_devices, r.retries, r.setup_latency)
+        for r in report.metrics.call_records
+    ]
+    return digest, hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+class TestContendedGoldens:
+    @pytest.mark.parametrize("name", sorted(CONTENDED_SCENARIOS))
+    def test_matches_golden(self, name):
+        assert _contended_digests(**CONTENDED_SCENARIOS[name]) == CONTENDED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(CONTENDED_SCENARIOS))
+    def test_numpy_backend_matches_golden(self, name, monkeypatch):
+        monkeypatch.setenv("REPRO_PLANNER_BACKEND", "numpy")
+        assert _contended_digests(**CONTENDED_SCENARIOS[name]) == CONTENDED_DIGESTS[name]
+
+    @pytest.mark.parametrize("pager", ["heuristic", "adaptive", "heuristic-batch"])
+    def test_every_planning_pager_runs_the_same_plans(self, pager):
+        assert _contended_digests(
+            pager=pager, **CONTENDED_SCENARIOS["no_faults"]
+        ) == CONTENDED_DIGESTS["no_faults"]

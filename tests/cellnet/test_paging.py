@@ -42,6 +42,56 @@ class TestSubInstance:
             build_sub_instance(uniform_priors(1, 4), [], max_rounds=2)
 
 
+def _per_cell_sub_instance(priors, candidate_cells, max_rounds, floor=1e-12):
+    """The original per-cell restriction loop, kept as the bit-level oracle."""
+    cells = tuple(int(cell) for cell in candidate_cells)
+    rows = []
+    for prior in priors:
+        restricted = np.array([max(float(prior[cell]), floor) for cell in cells])
+        rows.append(restricted / restricted.sum())
+    d = max(1, min(int(max_rounds), len(cells)))
+    return rows, d, cells
+
+
+class TestSubInstanceMatchesPerCellLoop:
+    """The vectorised restriction equals the per-cell loop bit for bit."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_rows_bit_identical(self, case):
+        rng = np.random.default_rng(np.random.SeedSequence(1207, spawn_key=(case,)))
+        num_cells = int(rng.integers(1, 80))
+        devices = int(rng.integers(1, 6))
+        priors = rng.dirichlet(np.ones(num_cells), size=devices)
+        # zero prior mass on some cells exercises the floor
+        priors[rng.random(priors.shape) < 0.3] = 0.0
+        priors = [row for row in priors]
+        size = int(rng.integers(1, num_cells + 1))
+        candidates = rng.choice(num_cells, size=size, replace=False)
+        if case % 2:
+            candidates = [int(cell) for cell in candidates]
+        rounds = int(rng.integers(1, 6))
+        instance, cells = build_sub_instance(priors, candidates, rounds)
+        rows, d, expected_cells = _per_cell_sub_instance(priors, candidates, rounds)
+        assert cells == expected_cells
+        assert instance.max_rounds == d
+        assert instance.rows == tuple(tuple(row) for row in rows)
+        assert [
+            [value.hex() for value in row] for row in instance.float_rows().tolist()
+        ] == [[float(value).hex() for value in row] for row in rows]
+
+    def test_all_zero_candidates_share_the_floor_evenly(self):
+        priors = [np.array([1.0, 0.0, 0.0, 0.0])]
+        instance, _cells = build_sub_instance(priors, [1, 2, 3], max_rounds=2)
+        rows, _d, _cells = _per_cell_sub_instance(priors, [1, 2, 3], 2)
+        assert instance.rows == (tuple(rows[0]),)
+        assert instance.row(0) == (1 / 3, 1 / 3, 1 / 3)
+
+    def test_empty_candidate_set_raises(self):
+        for empty in ([], (), np.array([], dtype=int)):
+            with pytest.raises(SimulationError):
+                build_sub_instance(uniform_priors(2, 4), empty, max_rounds=2)
+
+
 class TestPageWithStrategy:
     def test_stops_when_all_found(self):
         strategy = Strategy([[0, 1], [2, 3]])

@@ -127,6 +127,34 @@ def test_backends_agree_bit_for_bit():
         assert np.array_equal(results[0].values, other.values)
 
 
+@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend unavailable")
+@pytest.mark.parametrize("shape_index", range(len(SHAPES)))
+def test_backends_agree_row_by_row_and_in_one_row_stacks(shape_index):
+    # The contention engine plans one call per kernel call: a (1, m, c)
+    # stack must give the same row on both backends as the full batch.
+    _instances, matrices = _random_batch(shape_index)
+    rounds, cap = SHAPES[shape_index][3], SHAPES[shape_index][4]
+    full = {
+        backend: plan_batch(matrices, rounds, max_group_size=cap, backend=backend)
+        for backend in BACKENDS
+    }
+    for i in range(len(matrices)):
+        rows = [
+            plan_batch(matrices[i : i + 1], rounds, max_group_size=cap, backend=backend)
+            for backend in BACKENDS
+        ]
+        for backend, row in zip(BACKENDS, rows):
+            assert row.orders.dtype == np.intp and row.group_sizes.dtype == np.intp
+            assert row.values.dtype == np.float64 and row.feasible.dtype == bool
+            assert row.orders.tolist() == [full[backend].orders[i].tolist()]
+            assert row.group_sizes.tolist() == [full[backend].group_sizes[i].tolist()]
+            assert row.values.tolist() == [full[backend].values[i]]
+            assert row.feasible.tolist() == [True]
+        assert rows[0].orders.tolist() == rows[1].orders.tolist()
+        assert rows[0].group_sizes.tolist() == rows[1].group_sizes.tolist()
+        assert rows[0].values.tolist() == rows[1].values.tolist()
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_infeasible_budgets_raise_exactly_like_the_scalar_planner(backend):
     _instances, matrices = _random_batch(0)

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    PagingInstance,
     by_expected_devices,
     conference_call_heuristic,
     conference_call_heuristic_fast,
     expected_paging_float,
     optimize_cuts,
     optimize_cuts_fast,
+    plan_batch,
     prefix_stop_probabilities_fast,
 )
 from repro.errors import InfeasibleError
+from repro.solvers import get_solver
 from tests.conftest import random_instance
 
 
@@ -104,3 +107,69 @@ class TestFastHeuristic:
         instance = random_instance(rng, num_devices=2, num_cells=10, max_rounds=5)
         fast = conference_call_heuristic_fast(instance, max_rounds=2)
         assert len(fast.group_sizes) == 2
+
+
+class TestExactAgreementWithReference:
+    """On continuous random rows, fast and reference plan the same strategy."""
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_same_order_and_group_sizes(self, case):
+        rng = np.random.default_rng(np.random.SeedSequence(4708, spawn_key=(case,)))
+        cells = int(rng.integers(2, 31))
+        devices = int(rng.integers(1, 5))
+        rounds = int(rng.integers(1, min(cells, 5) + 1))
+        instance = PagingInstance.from_array(
+            rng.dirichlet(np.ones(cells), size=devices), rounds
+        )
+        reference = conference_call_heuristic(instance)
+        fast = conference_call_heuristic_fast(instance)
+        assert fast.order == reference.order
+        assert fast.group_sizes == reference.group_sizes
+
+
+#: A float-tie instance captured from a contended run (perfbench
+#: ``contended``, seed 801, replica 1): two cut sequences tie in exact
+#: arithmetic, and the reference and the float planners round them apart.
+_TIE_ROWS = [
+    ["0x1.5555555555555p-4"] * 2 + ["0x1.0p-3"] * 3
+    + ["0x1.5555555555555p-4"] * 2 + ["0x1.2aaaaaaaaaaabp-2"],
+    ["0x1.af286bca1af28p-5"] * 2
+    + ["0x1.af286bca1af28p-4", "0x1.435e50d79435ep-4", "0x1.79435e50d7943p-3",
+       "0x1.435e50d79435ep-3"]
+    + ["0x1.79435e50d7943p-3"] * 2,
+]
+
+
+class TestFloatTieDisagreement:
+    """Where fast and reference are only approximately equal.
+
+    On instances with exact ties between cut sequences, the reference
+    (``heuristic``) and the float planners (``heuristic-fast`` and
+    ``heuristic-batch``, which agree with each other bit for bit) can
+    break the tie differently.  Neither is consistently lower: the two
+    expected-paging values differ only in the last bits.
+    """
+
+    def _instance(self):
+        rows = [[float.fromhex(value) for value in row] for row in _TIE_ROWS]
+        return PagingInstance(rows, 3, allow_zero=True)
+
+    def test_reference_and_fast_break_the_tie_differently(self):
+        instance = self._instance()
+        reference = get_solver("heuristic")(instance)
+        fast = get_solver("heuristic-fast")(instance)
+        assert reference.extras["order"] == fast.extras["order"]
+        assert reference.extras["group_sizes"] == (3, 3, 2)
+        assert fast.extras["group_sizes"] == (4, 2, 2)
+        # 5.679824561403509 vs 5.6798245614035086: one ulp apart
+        assert float(reference.expected_paging).hex() == "0x1.6b823ee08fb83p+2"
+        assert float(fast.expected_paging).hex() == "0x1.6b823ee08fb82p+2"
+
+    def test_batch_rows_follow_fast(self):
+        instance = self._instance()
+        fast = conference_call_heuristic_fast(instance)
+        for backend in ("numpy", "auto"):
+            row = plan_batch(instance.float_rows()[None], 3, backend=backend)
+            assert tuple(row.orders[0].tolist()) == fast.order
+            assert tuple(row.group_sizes[0].tolist()) == fast.group_sizes == (4, 2, 2)
+            assert row.values[0] == fast.expected_paging

@@ -85,6 +85,16 @@ class TestAccessors:
         assert weights[0] == Fraction(5, 8)
         assert sum(weights) == 2  # total expected devices
 
+    def test_float64_matrix_seeds_float_rows(self, rng):
+        matrix = rng.dirichlet(np.ones(7), size=3)
+        from_matrix = PagingInstance(matrix, 2)
+        from_lists = PagingInstance(matrix.tolist(), 2)
+        rows = from_matrix.float_rows()
+        assert rows.tobytes() == from_lists.float_rows().tobytes()
+        assert not rows.flags.writeable
+        matrix[0, 0] = 5.0  # the cached rows are a private copy
+        assert rows[0, 0] == from_lists.float_rows()[0, 0]
+
     def test_equality_and_hash(self, exact_instance):
         clone = PagingInstance(exact_instance.rows, 2)
         assert clone == exact_instance
