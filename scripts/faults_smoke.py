@@ -4,7 +4,8 @@
 Runs a tiny grid of fault configurations through the cellular simulator and
 asserts the three invariants the layer guarantees (see docs/robustness.md):
 
-1. a zero fault model is bypassed — bit-identical metrics to ``faults=None``;
+1. a zero fault model builds no injector — bit-identical metrics to
+   ``faults=None``;
 2. a faulty run is byte-for-byte reproducible from its seed;
 3. no call, however faulty, ever pages past the delay constraint ``d``.
 
@@ -36,7 +37,7 @@ if __name__ == "__main__":
     SEED = 11
     ROUNDS = 5
 
-    def run(faults=None, recovery=None):
+    def run(faults=None, recovery=None, pager="heuristic"):
         topology = CellTopology.hexagonal_disk(2)
         plan = LocationAreaPlan.by_bfs(topology, 3)
         models = [RandomWalk(topology, stay_probability=0.3) for _ in range(4)]
@@ -45,20 +46,33 @@ if __name__ == "__main__":
             call_rate=0.1,
             max_paging_rounds=ROUNDS,
             reporting="la",
-            pager="heuristic",
+            pager=pager,
             faults=faults,
             recovery=recovery,
         )
         rng = np.random.default_rng(SEED)
         return CellularSimulator(topology, plan, models, config, rng=rng).run()
 
+    # (label, faults, recovery, pager)
     matrix = [
-        ("zero", FaultModel(), None),
-        ("page-loss", FaultModel(page_loss=0.3), RecoveryPolicy(max_retries=1)),
+        ("zero", FaultModel(), None, "heuristic"),
+        (
+            "page-loss",
+            FaultModel(page_loss=0.3),
+            RecoveryPolicy(max_retries=1),
+            "heuristic",
+        ),
+        (
+            "batch-loss",
+            FaultModel(page_loss=0.3),
+            RecoveryPolicy(max_retries=1),
+            "heuristic-batch",
+        ),
         (
             "lossy-cell",
             FaultModel(cell_page_loss={2: 0.9}),
             RecoveryPolicy(max_retries=2),
+            "heuristic",
         ),
         (
             "outage+stale",
@@ -69,14 +83,15 @@ if __name__ == "__main__":
                 outages=(CellOutage(cell=4, start=30, end=80),),
             ),
             RecoveryPolicy(max_retries=1),
+            "heuristic",
         ),
     ]
 
     baseline = run()
     failures = 0
-    for label, faults, recovery in matrix:
-        first = run(faults=faults, recovery=recovery)
-        second = run(faults=faults, recovery=recovery)
+    for label, faults, recovery, pager in matrix:
+        first = run(faults=faults, recovery=recovery, pager=pager)
+        second = run(faults=faults, recovery=recovery, pager=pager)
         checks = {
             "reproducible": first.metrics == second.metrics,
             "within-budget": all(
@@ -85,7 +100,7 @@ if __name__ == "__main__":
             ),
         }
         if label == "zero":
-            checks["bypassed"] = first.metrics == baseline.metrics
+            checks["matches-fault-free"] = first.metrics == baseline.metrics
         summary = first.summary()
         status = "ok" if all(checks.values()) else "FAIL"
         failures += status == "FAIL"

@@ -43,14 +43,13 @@ from .planning import (
     sweep_location_area_sizes,
 )
 from .paging import (
-    PAGER_FACTORIES,
+    PAGER_SOLVERS,
     AdaptivePager,
-    BlanketPager,
     CostAwarePager,
-    HeuristicPager,
     PagingOutcome,
     build_sub_instance,
-    page_with_strategy,
+    execute_groups,
+    plan_groups,
 )
 from .render import (
     render_cell_map,
@@ -99,13 +98,12 @@ __all__ = [
     "DEFAULT_RECOVERY",
     "EVENT_PRIORITIES",
     "HEX_DIRECTIONS",
-    "PAGER_FACTORIES",
+    "PAGER_SOLVERS",
     "AdaptivePager",
     "AlwaysReport",
     "AreaSweepPoint",
     "best_operating_point",
     "sweep_location_area_sizes",
-    "BlanketPager",
     "CallRecord",
     "CellOutage",
     "CellTopology",
@@ -122,7 +120,6 @@ __all__ = [
     "FaultModel",
     "GravityMobility",
     "Hex",
-    "HeuristicPager",
     "LACrossingReport",
     "LinkUsageMetrics",
     "LocationAreaPlan",
@@ -164,7 +161,8 @@ __all__ = [
     "validate_transition_matrix",
     "hex_disk",
     "hex_rectangle",
-    "page_with_strategy",
+    "execute_groups",
+    "plan_groups",
     "render_cell_map",
     "render_location_areas",
     "render_strategy",

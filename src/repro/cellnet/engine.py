@@ -52,13 +52,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import InfeasibleError, SimulationError
+from ..errors import SimulationError
 from ..obs.events import current_tracer
 from ..solvers import RegisteredSolver, get_solver
 from .calls import ConferenceCallRequest
 from .faults import FaultInjector, RecoveryPolicy
 from .metrics import CallRecord, LinkUsageMetrics
-from .paging import build_sub_instance
+from .paging import plan_groups
+
+# Bound only so that perfbench/probes.py can patch it in this namespace;
+# planning calls it from .paging.
+from .paging import build_sub_instance  # noqa: F401
 
 #: The registry planner every contended admission runs on: the batched
 #: Fig. 1 kernel (compiled when available, numpy otherwise), called with a
@@ -473,41 +477,21 @@ def plan_pending_call(
     ``blanket`` short-circuits to a single all-candidates group (the GSM
     baseline).  Otherwise the batch-capable registry ``planner`` (default
     :data:`CONTENTION_PLANNER`) plans the paper's strategy over the
-    candidate sub-instance as a one-row ``run_batch``, and the phases are
-    cut straight from that row's order and group sizes as global cell ids
-    — the same groups ``heuristic-fast`` returns, bit for bit.  Raises
-    :class:`~repro.errors.InfeasibleError` when the row has no feasible
-    plan.  Adaptive replanning is deliberately not offered here: under
-    contention (and possibly faults) a non-answer may mean a lost or
-    deferred page, so treating it as proof of absence would be unsound —
-    the same restriction :class:`~repro.cellnet.faults.ResilientPager`
-    applies.
+    candidate sub-instance as a one-row ``run_batch``
+    (:func:`~repro.cellnet.paging.plan_groups`), and each phase is one of
+    its groups as global cell ids — the same groups ``heuristic-fast``
+    returns, bit for bit.  Raises :class:`~repro.errors.InfeasibleError`
+    when the row has no feasible plan.  Adaptive replanning is
+    deliberately not offered here: under contention (and possibly faults)
+    a non-answer may mean a lost or deferred page, so treating it as proof
+    of absence would be unsound — the same restriction the synchronous
+    path applies under faults.
     """
-    if blanket:
-        cells = tuple(int(cell) for cell in candidate_cells)
-        phases = [_Phase(PHASE_STRATEGY, list(cells))] if cells else []
-    else:
-        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
-        if planner is None:
-            planner = get_solver(CONTENTION_PLANNER)
-        plans = planner.run_batch(
-            instance.float_rows()[None], max_rounds=instance.max_rounds
-        )
-        if not plans.feasible[0]:
-            raise InfeasibleError(
-                f"no feasible plan for {len(cells)} cells in "
-                f"{instance.max_rounds} rounds"
-            )
-        order = plans.orders[0].tolist()
-        phases = []
-        start = 0
-        for size in plans.group_sizes[0].tolist():
-            group = sorted(order[start : start + size])
-            start += size
-            phases.append(_Phase(PHASE_STRATEGY, [cells[j] for j in group]))
+    solver = None if blanket else planner or get_solver(CONTENTION_PLANNER)
+    groups = plan_groups(priors, candidate_cells, max_rounds, solver)
     return PendingCall(
         request=request,
-        candidate_cells=cells,
-        phases=phases,
+        candidate_cells=tuple(int(cell) for cell in candidate_cells),
+        phases=[_Phase(PHASE_STRATEGY, group) for group in groups],
         remaining=dict(enumerate(request.participants)),
     )

@@ -5,10 +5,10 @@ simulated network (global cell ids, true device positions).  A search:
 
 1. restricts each wanted device's prior to the candidate cells and
    renormalizes,
-2. plans a strategy — blanket (the GSM baseline), the paper's heuristic, or
-   the adaptive replanner,
+2. plans a strategy (:func:`plan_groups`) — blanket (the GSM baseline),
+   the paper's heuristic, or (fault-free) the adaptive replanner,
 3. pages group by group against the true locations, counting every cell
-   paged, and
+   paged (:func:`execute_groups`, with or without a fault injector), and
 4. falls back to sweeping the rest of the network if a device was outside
    the candidate set (possible under lazy reporting policies).
 """
@@ -16,25 +16,36 @@ simulated network (global cell ids, true device positions).  A search:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.adaptive import adaptive_search
 from ..core.instance import PagingInstance
-from ..core.strategy import Strategy
-from ..errors import SimulationError
+from ..errors import InfeasibleError, SimulationError
 from ..solvers import get_solver
+
+if TYPE_CHECKING:
+    from .faults import FaultInjector, RecoveryPolicy
+
+#: The registry planner behind each ``SimulationConfig.pager`` name
+#: (``None`` = blanket); "adaptive" plans it only under faults.
+PAGER_SOLVERS: Mapping[str, Optional[str]] = {
+    "blanket": None,
+    "heuristic": "heuristic",
+    "heuristic-batch": "heuristic-batch",
+    "adaptive": "heuristic",
+}
 
 
 @dataclass(frozen=True)
 class PagingOutcome:
     """The result of one search operation.
 
-    The fault-free pagers always locate everyone, so ``failed_devices`` is
-    empty and ``retries_used`` zero for them; the fault-aware
-    :class:`~repro.cellnet.faults.ResilientPager` fills both when a search
-    degrades into a partial conference (docs/robustness.md).
+    A fault-free search always locates everyone, so ``failed_devices`` is
+    empty and ``retries_used`` zero; under faults both are filled when a
+    search degrades into a partial conference (docs/robustness.md).
     """
 
     found_cells: Dict[int, int]  # device -> cell where it answered
@@ -82,140 +93,152 @@ def build_sub_instance(
     return PagingInstance(rows, d, allow_zero=True), cells
 
 
-def page_with_strategy(
-    strategy: Strategy,
-    cell_map: Sequence[int],
+def plan_groups(
+    priors: Sequence[np.ndarray],
+    candidate_cells: Sequence[int],
+    rounds: int,
+    solver: Optional[object],
+) -> List[List[int]]:
+    """Plan one call's oblivious page schedule over the candidate cells.
+
+    ``solver=None`` is blanket paging: every candidate in one round.
+    Otherwise the priors are restricted to the candidates
+    (:func:`build_sub_instance`) and planned in at most ``rounds`` rounds:
+    a batch-capable registry solver (``supports_batch``) plans a one-row
+    ``run_batch``, any other solver is called on the sub-instance.  Each
+    group comes back as sorted global cell ids.  Raises
+    :class:`~repro.errors.InfeasibleError` when the batch row has no
+    feasible plan.
+    """
+    if solver is None:
+        cells = sorted(int(cell) for cell in candidate_cells)
+        if not cells:
+            raise SimulationError("cannot page an empty candidate set")
+        return [cells]
+    instance, cells = build_sub_instance(priors, candidate_cells, rounds)
+    if getattr(solver, "supports_batch", False):
+        plans = solver.run_batch(
+            instance.float_rows()[None], max_rounds=instance.max_rounds
+        )
+        if not plans.feasible[0]:
+            raise InfeasibleError(
+                f"no feasible plan for {len(cells)} cells in "
+                f"{instance.max_rounds} rounds"
+            )
+        order = plans.orders[0].tolist()
+        groups = []
+        start = 0
+        for size in plans.group_sizes[0].tolist():
+            groups.append(order[start : start + size])
+            start += size
+    else:
+        groups = solver(instance).strategy.groups
+    return [sorted([cells[j] for j in group]) for group in groups]
+
+
+def _page(
+    cells: Sequence[int],
+    remaining: Dict[int, int],
+    found: Dict[int, int],
+    injector: Optional["FaultInjector"],
+    time: int,
+) -> None:
+    """Page ``cells`` in one round; move every device that answers to ``found``."""
+    if injector is not None:
+        cells = [cell for cell in cells if injector.page_delivered(cell, time)]
+    delivered = set(cells)
+    for device in sorted(remaining):
+        if remaining[device] in delivered:
+            found[device] = remaining.pop(device)
+
+
+def execute_groups(
+    groups: Sequence[Sequence[int]],
+    candidate_cells: Sequence[int],
     true_cells: Sequence[int],
-) -> Tuple[Dict[int, int], int, int, bool]:
-    """Execute an oblivious strategy; returns (found, paged, rounds, complete)."""
-    remaining = {device: cell for device, cell in enumerate(true_cells)}
+    max_rounds: int,
+    num_cells: int,
+    *,
+    injector: Optional["FaultInjector"] = None,
+    policy: Optional["RecoveryPolicy"] = None,
+    time: int = 0,
+) -> PagingOutcome:
+    """Page a planned schedule against the devices' true cells.
+
+    Phase 1 pages ``groups`` one round each until everyone answered.
+    Without an ``injector`` every page is delivered, nothing is drawn from
+    the rng and nothing is retried; a device outside the candidate set
+    costs one complement sweep, which may take round ``d + 1``.  With an
+    injector, lost pages go unanswered, phase 2 re-pages the candidate set
+    after ``policy``'s backoff waits, and every round — paging, waiting and
+    sweeping alike — counts against ``policy.budget(max_rounds)``, so the
+    search never pages past round ``d``; whoever is still missing is
+    reported in ``failed_devices``.
+    """
+    if injector is None:
+        budget, max_retries = max_rounds + 1, 0
+    else:
+        assert policy is not None
+        budget, max_retries = policy.budget(max_rounds), policy.max_retries
+    remaining = {device: int(cell) for device, cell in enumerate(true_cells)}
     found: Dict[int, int] = {}
     paged = 0
     rounds = 0
-    for group in strategy.groups:
+    retries = 0
+
+    # Phase 1 — the planned strategy, one round per group.
+    for group in groups:
+        if not remaining or rounds >= budget:
+            break
         rounds += 1
         paged += len(group)
-        global_group = {cell_map[j] for j in group}
-        for device in list(remaining):
-            if remaining[device] in global_group:
-                found[device] = remaining.pop(device)
+        _page(group, remaining, found, injector, time)
+
+    # Phase 2 — bounded re-page retries with exponential backoff; each
+    # retry blankets the candidate set (a lost page says nothing about
+    # where the device is, so no cell can be ruled out).
+    candidates = sorted({int(cell) for cell in candidate_cells})
+    for attempt in range(1, max_retries + 1):
         if not remaining:
-            return found, paged, rounds, True
-    return found, paged, rounds, False
+            break
+        wait = policy.backoff(attempt)
+        if rounds + wait + 1 > budget:
+            break  # the retry would overrun the delay constraint
+        rounds += wait + 1
+        retries += 1
+        paged += len(candidates)
+        _page(candidates, remaining, found, injector, time)
 
+    # Phase 3 — the system-wide fallback sweep for devices the registry
+    # mislaid entirely, if (and only if) it still fits the budget.
+    used_fallback = False
+    candidate_set = set(candidates)
+    if (
+        remaining
+        and rounds < budget
+        and any(cell not in candidate_set for cell in remaining.values())
+    ):
+        sweep = [cell for cell in range(num_cells) if cell not in candidate_set]
+        if sweep:
+            rounds += 1
+            used_fallback = True
+            paged += len(sweep)
+            _page(sweep, remaining, found, injector, time)
 
-class BlanketPager:
-    """The GSM MAP / IS-41 baseline: page every candidate cell at once."""
-
-    name = "blanket"
-
-    def search(
-        self,
-        priors: Sequence[np.ndarray],
-        candidate_cells: Sequence[int],
-        true_cells: Sequence[int],
-        max_rounds: int,
-        num_cells: int,
-    ) -> PagingOutcome:
-        cells = tuple(candidate_cells)
-        strategy = Strategy.single_round(len(cells))
-        found, paged, rounds, complete = page_with_strategy(
-            strategy, cells, true_cells
-        )
-        if complete:
-            return PagingOutcome(found, paged, rounds, used_fallback=False)
-        return _fallback(found, paged, rounds, cells, true_cells, num_cells)
-
-
-class HeuristicPager:
-    """The paper's e/(e-1) strategy within the delay budget.
-
-    The planner is looked up in the solver registry (``repro.solvers``) so
-    deployments can swap policies by name without touching the pager.
-    """
-
-    name = "heuristic"
-    planner_solver = "heuristic"
-
-    def __init__(self, planner_solver: str = "heuristic") -> None:
-        self.planner_solver = planner_solver
-        self._planner = get_solver(planner_solver)
-
-    def search(
-        self,
-        priors: Sequence[np.ndarray],
-        candidate_cells: Sequence[int],
-        true_cells: Sequence[int],
-        max_rounds: int,
-        num_cells: int,
-    ) -> PagingOutcome:
-        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
-        plan = self._planner(instance)
-        found, paged, rounds, complete = page_with_strategy(
-            plan.strategy, cells, true_cells
-        )
-        if complete:
-            return PagingOutcome(found, paged, rounds, used_fallback=False)
-        return _fallback(found, paged, rounds, cells, true_cells, num_cells)
-
-    def search_many(
-        self,
-        priors_batch: Sequence[Sequence[np.ndarray]],
-        candidate_cells: Sequence[int],
-        true_cells_batch: Sequence[Sequence[int]],
-        max_rounds: int,
-        num_cells: int,
-    ) -> List[PagingOutcome]:
-        """Page many concurrent calls over one candidate set.
-
-        The paging-controller shape: one location area, a stack of calls,
-        one plan per call.  When the configured planner has a batched
-        entry point (``supports_batch``, e.g. the ``"heuristic-batch"``
-        registry entry), all same-device-count sub-instances are planned
-        in one kernel call; otherwise this degrades to a per-call loop
-        with identical outcomes — every plan is bit-identical to what
-        :meth:`search` would compute.
-        """
-        instances = []
-        cell_maps = []
-        for priors in priors_batch:
-            instance, cells = build_sub_instance(
-                priors, candidate_cells, max_rounds
-            )
-            instances.append(instance)
-            cell_maps.append(cells)
-        strategies: Dict[int, Strategy] = {}
-        by_devices: Dict[int, List[int]] = {}
-        for index, instance in enumerate(instances):
-            by_devices.setdefault(instance.num_devices, []).append(index)
-        for indices in by_devices.values():
-            if self._planner.supports_batch and len(indices) > 1:
-                plans = self._planner.run_batch([instances[i] for i in indices])
-                for row, index in enumerate(indices):
-                    strategies[index] = plans.strategy(row)
-            else:
-                for index in indices:
-                    strategies[index] = self._planner(instances[index]).strategy
-        outcomes = []
-        for index, true_cells in enumerate(true_cells_batch):
-            found, paged, rounds, complete = page_with_strategy(
-                strategies[index], cell_maps[index], true_cells
-            )
-            if complete:
-                outcomes.append(
-                    PagingOutcome(found, paged, rounds, used_fallback=False)
-                )
-            else:
-                outcomes.append(
-                    _fallback(
-                        found, paged, rounds, cell_maps[index], true_cells, num_cells
-                    )
-                )
-        return outcomes
+    # Phase 4 — graceful degradation: the conference proceeds without
+    # whoever is still missing once the budget is exhausted.
+    return PagingOutcome(
+        found_cells=found,
+        cells_paged=paged,
+        rounds_used=rounds,
+        used_fallback=used_fallback,
+        failed_devices=tuple(sorted(remaining)),
+        retries_used=retries,
+    )
 
 
 class AdaptivePager:
-    """The Section 5 adaptive replanner."""
+    """The Section 5 adaptive replanner (fault-free runs only)."""
 
     name = "adaptive"
 
@@ -229,14 +252,15 @@ class AdaptivePager:
     ) -> PagingOutcome:
         instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
         index_of = {cell: j for j, cell in enumerate(cells)}
-        inside = all(cell in index_of for cell in true_cells)
-        if not inside:
+        if not all(cell in index_of for cell in true_cells):
             # Some device left the candidate set; page it all, then sweep.
-            strategy = Strategy.single_round(len(cells))
-            found, paged, rounds, complete = page_with_strategy(
-                strategy, cells, true_cells
+            return execute_groups(
+                plan_groups(priors, cells, max_rounds, None),
+                cells,
+                true_cells,
+                max_rounds,
+                num_cells,
             )
-            return _fallback(found, paged, rounds, cells, true_cells, num_cells)
         local_locations = [index_of[cell] for cell in true_cells]
         trace = adaptive_search(instance, local_locations)
         found = {device: cell for device, cell in enumerate(true_cells)}
@@ -276,59 +300,15 @@ class CostAwarePager:
             raise SimulationError(
                 f"cost table covers {len(self._costs)} cells, network has {num_cells}"
             )
-        instance, cells = build_sub_instance(priors, candidate_cells, max_rounds)
-        local_costs = [self._costs[cell] for cell in cells]
-        plan = get_solver("weighted-heuristic")(instance, costs=local_costs)
-        found, paged, rounds, complete = page_with_strategy(
-            plan.strategy, cells, true_cells
+        solver = partial(
+            get_solver("weighted-heuristic"),
+            costs=[self._costs[int(cell)] for cell in candidate_cells],
         )
-        if complete:
-            return PagingOutcome(found, paged, rounds, used_fallback=False)
-        return _fallback(found, paged, rounds, cells, true_cells, num_cells)
+        groups = plan_groups(priors, candidate_cells, max_rounds, solver)
+        return execute_groups(
+            groups, candidate_cells, true_cells, max_rounds, num_cells
+        )
 
     def cost_of_cells(self, paged_cells: Sequence[int]) -> float:
         """Total cost of an explicit list of paged cells."""
         return sum(self._costs[cell] for cell in paged_cells)
-
-
-def _fallback(
-    found: Dict[int, int],
-    paged: int,
-    rounds: int,
-    searched_cells: Sequence[int],
-    true_cells: Sequence[int],
-    num_cells: int,
-) -> PagingOutcome:
-    """Sweep outside the candidate set for devices that were not found.
-
-    Models the system-wide page a real network issues when a device is not
-    where the registry believed: one extra round covering the complement.
-    """
-    searched = set(searched_cells)
-    missing = {
-        device: cell
-        for device, cell in enumerate(true_cells)
-        if device not in found
-    }
-    outside = {cell for cell in missing.values() if cell not in searched}
-    sweep = set(range(num_cells)) - searched
-    paged += len(sweep)
-    rounds += 1
-    for device, cell in missing.items():
-        found[device] = cell
-    if outside - sweep:
-        raise SimulationError("fallback sweep failed to cover a device")
-    return PagingOutcome(
-        found_cells=found, cells_paged=paged, rounds_used=rounds, used_fallback=True
-    )
-
-
-#: Registry of pager implementations by name (used by the simulator config).
-PAGER_FACTORIES: Dict[str, Callable[[], object]] = {
-    "blanket": BlanketPager,
-    "heuristic": HeuristicPager,
-    # Same plans as "heuristic", but search_many() fans whole call stacks
-    # through the batched planner kernel (repro.core.batch_plan).
-    "heuristic-batch": lambda: HeuristicPager("heuristic-batch"),
-    "adaptive": AdaptivePager,
-}

@@ -15,7 +15,8 @@ delay-constrained heuristic and its adaptive variant.
 (:mod:`repro.cellnet.faults`): lost pages, cell outages, lost location
 updates, and stale-registry windows, with bounded retry/backoff recovery
 inside the same delay budget ``d``.  A ``None`` (or all-zero) fault model
-keeps every code path and rng draw identical to the fault-free engine.
+builds no injector: the synchronous search runs with every page delivered
+and makes no rng draws, so the run matches the fault-free engine.
 
 Since the contention refactor, :class:`CellularSimulator` is a thin façade
 over the event-driven engine (:mod:`repro.cellnet.engine`): ``run()``
@@ -34,7 +35,7 @@ a channel-occupancy histogram (docs/contention.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,7 +61,7 @@ from .faults import DEFAULT_RECOVERY, FaultInjector, FaultModel, RecoveryPolicy,
 from .location_areas import LocationAreaPlan
 from .metrics import CallRecord, LinkUsageMetrics
 from .mobility import MobilityModel
-from .paging import PAGER_FACTORIES, PagingOutcome
+from .paging import PAGER_SOLVERS, AdaptivePager, PagingOutcome
 from .timevary import BeliefPropagator, transition_matrix
 from .reporting import (
     AlwaysReport,
@@ -82,7 +83,7 @@ class SimulationConfig:
     call_rate: float = 0.05
     max_paging_rounds: int = 3
     reporting: str = "la"  # never | always | la | distance | timer
-    pager: str = "heuristic"  # blanket | heuristic | adaptive
+    pager: str = "heuristic"  # blanket | heuristic | heuristic-batch | adaptive
     distance_threshold: int = 2
     timer_period: int = 20
     prior_smoothing: float = 1.0
@@ -130,9 +131,9 @@ class SimulationConfig:
             raise SimulationError("max_paging_rounds must be positive")
         if self.mean_call_duration < 0:
             raise SimulationError("mean_call_duration must be non-negative")
-        if self.pager not in PAGER_FACTORIES:
+        if self.pager not in PAGER_SOLVERS:
             raise SimulationError(
-                f"unknown pager {self.pager!r}; choose from {sorted(PAGER_FACTORIES)}"
+                f"unknown pager {self.pager!r}; choose from {sorted(PAGER_SOLVERS)}"
             )
         if self.reporting not in ("never", "always", "la", "distance", "timer"):
             raise SimulationError(f"unknown reporting policy {self.reporting!r}")
@@ -218,19 +219,16 @@ class CellularSimulator:
             record_calls=config.record_calls,
             contention=config.contention_active,
         )
-        self._pager = PAGER_FACTORIES[config.pager]()
         self._policy = self._build_policy()
-        # A zero fault model is bypassed entirely: no injector, no extra rng
-        # draws, bit-identical runs to the fault-free engine on the same seed.
+        # A zero fault model builds no injector: no extra rng draws,
+        # bit-identical runs to the fault-free engine on the same seed.
         self._injector: Optional[FaultInjector] = None
-        self._resilient: Optional[ResilientPager] = None
+        self._recovery: Optional[RecoveryPolicy] = None
         if config.faults_active:
             assert config.faults is not None
             self._injector = FaultInjector(config.faults, rng, self._metrics)
-            self._resilient = ResilientPager(
-                config.pager,
-                self._injector,
-                config.recovery if config.recovery is not None else DEFAULT_RECOVERY,
+            self._recovery = (
+                config.recovery if config.recovery is not None else DEFAULT_RECOVERY
             )
         self._calls = PoissonConferenceCalls(
             config.call_rate, len(mobility_models), mode=config.arrival_mode
@@ -242,9 +240,12 @@ class CellularSimulator:
         # kernel, engine.CONTENTION_PLANNER; "adaptive" plans its oblivious
         # heuristic strategy there too (a non-answer under contention may
         # be a deferred or lost page, so eliminating cells on silence would
-        # be unsound).
+        # be unsound).  The synchronous path runs every oblivious search on
+        # one ResilientPager, with or without faults; fault-free adaptive
+        # paging is the one search that replans.
         self._resource: Optional[ChannelResource] = None
         self._scheduler: Optional[ChannelScheduler] = None
+        self._pager: Optional[Union[AdaptivePager, ResilientPager]] = None
         if config.contention_active:
             assert config.channel_capacity is not None
             self._resource = ChannelResource(
@@ -257,14 +258,13 @@ class CellularSimulator:
                 device_cell=self.device_cell,
                 on_found=self._on_found,
                 injector=self._injector,
-                recovery=(
-                    (config.recovery if config.recovery is not None
-                     else DEFAULT_RECOVERY)
-                    if self._injector is not None
-                    else None
-                ),
+                recovery=self._recovery,
                 on_complete=self._on_call_complete,
             )
+        elif config.pager == "adaptive" and self._injector is None:
+            self._pager = AdaptivePager()
+        else:
+            self._pager = ResilientPager(config.pager, self._injector, self._recovery)
         # Conditional priors need each device's one-step kernel; deriving it
         # here (and only here) keeps "online"/"uniform" runs bit-identical to
         # the pre-timevary engine on the same seed — empirical estimation is
@@ -417,12 +417,17 @@ class CellularSimulator:
                         index, self._plan.area_of(new_cell), new_cell, time
                     )
 
-    def _handle_call(self, request: ConferenceCallRequest) -> PagingOutcome:
+    def _search_space(
+        self, request: ConferenceCallRequest
+    ) -> Tuple[List[int], List[np.ndarray]]:
+        """The call's candidate cells and its participants' priors.
+
+        The search space is the union of the per-device candidate sets: the
+        system must locate every participant, and Lemma 2.1's model treats
+        the union as one location area with per-device conditional priors.
+        """
         participants = request.participants
-        # The search space is the union of the per-device candidate sets: the
-        # system must locate every participant, and Lemma 2.1's model treats
-        # the union as one location area with per-device conditional priors.
-        candidate_union: List[int] = sorted(
+        candidate_union = sorted(
             {
                 cell
                 for device in participants
@@ -430,29 +435,28 @@ class CellularSimulator:
             }
         )
         priors = [self._prior(device, request.time) for device in participants]
+        return candidate_union, priors
+
+    def _handle_call(self, request: ConferenceCallRequest) -> PagingOutcome:
+        participants = request.participants
+        candidate_union, priors = self._search_space(request)
         true_cells = [self._devices[device].cell for device in participants]
-        if self._resilient is None:
-            outcome = self._pager.search(
-                priors,
-                candidate_union,
-                true_cells,
-                self._config.max_paging_rounds,
-                self._topology.num_cells,
-            )
+        pager = self._pager
+        assert pager is not None
+        args = (
+            priors,
+            candidate_union,
+            true_cells,
+            self._config.max_paging_rounds,
+            self._topology.num_cells,
+        )
+        if self._injector is None:
+            outcome = pager.search(*args)
         else:
             with span(
-                "faults.injected",
-                time=request.time,
-                participants=len(participants),
+                "faults.injected", time=request.time, participants=len(participants)
             ):
-                outcome = self._resilient.search(
-                    priors,
-                    candidate_union,
-                    true_cells,
-                    self._config.max_paging_rounds,
-                    self._topology.num_cells,
-                    time=request.time,
-                )
+                outcome = pager.search(*args, time=request.time)
         duration = 0
         if self._config.mean_call_duration > 0:
             duration = 1 + int(
@@ -488,7 +492,7 @@ class CellularSimulator:
                 tracer.count("cellnet.fallback_searches")
             if outcome.retries_used:
                 tracer.count("cellnet.retries", outcome.retries_used)
-            if self._resilient is not None:
+            if self._injector is not None:
                 tracer.observe(
                     "cellnet.failed_devices_per_call", len(outcome.failed_devices)
                 )
@@ -572,23 +576,10 @@ class CellularSimulator:
     def _admit_call(self, request: ConferenceCallRequest) -> None:
         """Plan one arriving call and queue it on the shared channels."""
         assert self._scheduler is not None
-        participants = request.participants
-        candidate_union = sorted(
-            {
-                cell
-                for device in participants
-                for cell in self._candidate_cells(device, request.time)
-            }
-        )
-        priors = [self._prior(device, request.time) for device in participants]
+        candidate_union, priors = self._search_space(request)
         rounds = self._config.max_paging_rounds
-        if self._injector is not None:
-            recovery = (
-                self._config.recovery
-                if self._config.recovery is not None
-                else DEFAULT_RECOVERY
-            )
-            rounds = recovery.planning_rounds(rounds)
+        if self._recovery is not None:
+            rounds = self._recovery.planning_rounds(rounds)
         call = plan_pending_call(
             request,
             priors,

@@ -339,6 +339,8 @@ class TestPlanPendingCall:
         request, priors, candidates, rounds = _capture_admissions(horizon=30)[0]
 
         class NoPlan:
+            supports_batch = True
+
             def run_batch(self, rows, max_rounds):
                 batch = plan_batch(rows, max_rounds)
                 feasible = np.zeros_like(batch.feasible)

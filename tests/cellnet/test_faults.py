@@ -10,6 +10,7 @@ from repro.cellnet import (
     FaultInjector,
     FaultModel,
     LocationAreaPlan,
+    PoissonConferenceCalls,
     RandomWalk,
     RecoveryPolicy,
     ResilientPager,
@@ -286,6 +287,35 @@ class TestSimulatorIntegration:
             pager="adaptive", faults=FaultModel(page_loss=0.3)
         ).run()
         assert report.metrics.calls_handled > 0
+
+    @pytest.mark.parametrize("capacity", [None, 1])
+    def test_batch_planner_runs_under_faults(self, monkeypatch, capacity):
+        """``pager="heuristic-batch"`` with faults, synchronous and contended:
+        the run completes, repeats from its seed, and ends every offered
+        call as a handled or blocked call."""
+        offered = []
+        arrivals = PoissonConferenceCalls.arrivals
+
+        def counting(calls, time, rng):
+            requests = arrivals(calls, time, rng)
+            offered.append(len(requests))
+            return requests
+
+        monkeypatch.setattr(PoissonConferenceCalls, "arrivals", counting)
+        reports = []
+        for _ in range(2):
+            offered.clear()
+            report = build_simulator(
+                pager="heuristic-batch",
+                faults=FaultModel(page_loss=0.1),
+                channel_capacity=capacity,
+            ).run()
+            metrics = report.metrics
+            assert sum(offered) > 0
+            assert metrics.calls_handled + metrics.blocked_calls == sum(offered)
+            reports.append(report)
+        assert reports[0].metrics == reports[1].metrics
+        assert reports[0].summary() == reports[1].summary()
 
     def test_stale_registry_forces_wider_searches(self):
         """With near-stationary devices, aging out confirmed fixes must

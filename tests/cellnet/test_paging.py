@@ -5,17 +5,26 @@ import pytest
 
 from repro.cellnet import (
     AdaptivePager,
-    BlanketPager,
-    HeuristicPager,
+    FaultInjector,
+    FaultModel,
+    RecoveryPolicy,
+    ResilientPager,
     build_sub_instance,
-    page_with_strategy,
+    execute_groups,
+    plan_groups,
 )
-from repro.core import Strategy
+from repro.cellnet.metrics import LinkUsageMetrics
 from repro.errors import SimulationError
+from repro.solvers import get_solver
 
 
 def uniform_priors(num_devices, num_cells):
     return [np.full(num_cells, 1.0 / num_cells) for _ in range(num_devices)]
+
+
+def lossless_injector():
+    """An injector that drops nothing: the fault-aware budget rules apply."""
+    return FaultInjector(FaultModel(), np.random.default_rng(0), LinkUsageMetrics())
 
 
 class TestSubInstance:
@@ -92,29 +101,68 @@ class TestSubInstanceMatchesPerCellLoop:
                 build_sub_instance(uniform_priors(2, 4), empty, max_rounds=2)
 
 
+class TestPlanGroups:
+    def test_blanket_is_one_sorted_group(self):
+        groups = plan_groups(uniform_priors(1, 6), [4, 1, 2], 3, None)
+        assert groups == [[1, 2, 4]]
+
+    def test_blanket_rejects_empty_candidates(self):
+        with pytest.raises(SimulationError):
+            plan_groups(uniform_priors(1, 4), [], 2, None)
+
+    def test_solver_groups_map_to_global_cells(self, rng):
+        priors = [rng.dirichlet(np.ones(9)) for _ in range(2)]
+        candidates = [1, 3, 4, 6, 8]
+        groups = plan_groups(priors, candidates, 3, get_solver("heuristic"))
+        instance, cells = build_sub_instance(priors, candidates, 3)
+        expected = get_solver("heuristic")(instance).strategy.groups
+        assert groups == [sorted(cells[j] for j in group) for group in expected]
+
+
 class TestPageWithStrategy:
+    """:func:`execute_groups` on a schedule planned elsewhere."""
+
     def test_stops_when_all_found(self):
-        strategy = Strategy([[0, 1], [2, 3]])
-        found, paged, rounds, complete = page_with_strategy(
-            strategy, (10, 11, 12, 13), true_cells=(10, 11)
+        outcome = execute_groups(
+            [[10, 11], [12, 13]], (10, 11, 12, 13), true_cells=(10, 11),
+            max_rounds=2, num_cells=14,
         )
-        assert complete
-        assert (paged, rounds) == (2, 1)
-        assert found == {0: 10, 1: 11}
+        assert outcome.complete
+        assert (outcome.cells_paged, outcome.rounds_used) == (2, 1)
+        assert outcome.found_cells == {0: 10, 1: 11}
+        assert not outcome.used_fallback
 
     def test_incomplete_when_device_outside(self):
-        strategy = Strategy([[0, 1]])
-        found, paged, rounds, complete = page_with_strategy(
-            strategy, (10, 11), true_cells=(10, 99)
+        # With an injector the sweep must fit the budget d; here it does not.
+        outcome = execute_groups(
+            [[10, 11]], (10, 11), true_cells=(10, 99), max_rounds=1,
+            num_cells=100, injector=lossless_injector(), policy=RecoveryPolicy(),
         )
-        assert not complete
-        assert found == {0: 10}
-        assert (paged, rounds) == (2, 1)
+        assert not outcome.complete
+        assert outcome.found_cells == {0: 10}
+        assert outcome.failed_devices == (1,)
+        assert (outcome.cells_paged, outcome.rounds_used) == (2, 1)
+
+    def test_fallback_budget_rule(self):
+        """Fault-free, the sweep may take round d+1; with an injector, never."""
+        priors = uniform_priors(2, 6)
+        free = ResilientPager("blanket").search(
+            priors, [0, 1, 2], true_cells=[1, 5], max_rounds=1, num_cells=6
+        )
+        assert free.used_fallback
+        assert free.rounds_used == 2
+        assert free.found_cells == {0: 1, 1: 5}
+        faulty = ResilientPager("blanket", lossless_injector()).search(
+            priors, [0, 1, 2], true_cells=[1, 5], max_rounds=1, num_cells=6
+        )
+        assert not faulty.used_fallback
+        assert faulty.rounds_used == 1
+        assert faulty.failed_devices == (1,)
 
 
 class TestPagers:
     def test_blanket_pages_all_candidates(self):
-        pager = BlanketPager()
+        pager = ResilientPager("blanket")
         outcome = pager.search(
             uniform_priors(2, 6), [0, 1, 2], true_cells=[1, 2], max_rounds=3,
             num_cells=6,
@@ -125,7 +173,7 @@ class TestPagers:
 
     def test_heuristic_uses_multiple_rounds(self, rng):
         priors = [rng.dirichlet(np.ones(8)) for _ in range(2)]
-        pager = HeuristicPager()
+        pager = ResilientPager("heuristic")
         outcome = pager.search(
             priors, list(range(8)), true_cells=[0, 1], max_rounds=3, num_cells=8
         )
@@ -133,7 +181,7 @@ class TestPagers:
         assert outcome.cells_paged <= 8
 
     def test_fallback_sweeps_network(self):
-        pager = HeuristicPager()
+        pager = ResilientPager("heuristic")
         outcome = pager.search(
             uniform_priors(1, 10), [0, 1, 2], true_cells=[7], max_rounds=2,
             num_cells=10,
@@ -160,55 +208,6 @@ class TestPagers:
         assert outcome.found_cells == {0: 5}
 
 
-class TestSearchMany:
-    def _batch(self, rng, num_calls, num_cells):
-        priors_batch = []
-        true_cells_batch = []
-        for call in range(num_calls):
-            devices = 1 + call % 3  # mixed device counts across the batch
-            priors_batch.append([rng.dirichlet(np.ones(num_cells)) for _ in range(devices)])
-            true_cells_batch.append([call % num_cells] * devices)
-        return priors_batch, true_cells_batch
-
-    @pytest.mark.parametrize("solver", ["heuristic-fast", "heuristic-batch"])
-    def test_matches_per_call_search(self, rng, solver):
-        num_cells = 10
-        candidates = list(range(num_cells))
-        priors_batch, true_cells_batch = self._batch(rng, 7, num_cells)
-        pager = HeuristicPager(solver)
-        many = pager.search_many(
-            priors_batch, candidates, true_cells_batch, max_rounds=3,
-            num_cells=num_cells,
-        )
-        assert len(many) == 7
-        for priors, true_cells, outcome in zip(
-            priors_batch, true_cells_batch, many
-        ):
-            single = pager.search(
-                priors, candidates, true_cells, max_rounds=3, num_cells=num_cells
-            )
-            assert outcome.found_cells == single.found_cells
-            assert outcome.cells_paged == single.cells_paged
-            assert outcome.rounds_used == single.rounds_used
-            assert outcome.used_fallback == single.used_fallback
-
-    def test_fallback_calls_still_resolve(self, rng):
-        # Device 0 of call 1 sits outside the candidate set -> sweep.
-        num_cells = 12
-        candidates = [0, 1, 2, 3]
-        priors_batch = [
-            [rng.dirichlet(np.ones(num_cells))],
-            [rng.dirichlet(np.ones(num_cells))],
-        ]
-        outcomes = HeuristicPager("heuristic-batch").search_many(
-            priors_batch, candidates, [[2], [9]], max_rounds=2,
-            num_cells=num_cells,
-        )
-        assert not outcomes[0].used_fallback or outcomes[0].found_cells == {0: 2}
-        assert outcomes[1].used_fallback
-        assert outcomes[1].found_cells == {0: 9}
-
-
 class TestCostAwarePager:
     def test_finds_devices(self, rng):
         from repro.cellnet import CostAwarePager
@@ -223,13 +222,13 @@ class TestCostAwarePager:
         assert outcome.rounds_used <= 3
 
     def test_unit_costs_match_heuristic_pager(self, rng):
-        from repro.cellnet import CostAwarePager, HeuristicPager
+        from repro.cellnet import CostAwarePager
 
         priors = [rng.dirichlet(np.ones(6)) for _ in range(2)]
         flat = CostAwarePager([1.0] * 6).search(
             priors, list(range(6)), true_cells=[0, 1], max_rounds=3, num_cells=6
         )
-        plain = HeuristicPager().search(
+        plain = ResilientPager("heuristic").search(
             priors, list(range(6)), true_cells=[0, 1], max_rounds=3, num_cells=6
         )
         assert flat.cells_paged == plain.cells_paged
