@@ -36,7 +36,8 @@ bench-diff:
 	$(PYTHON) scripts/bench_diff.py $$(ls BENCH_*.json | sort -V | tail -2 | head -1)
 
 # Tiny fault-matrix scenario: zero-fault bypass, reproducibility under
-# faults, and the delay-budget cap (docs/robustness.md); CI runs this.
+# faults, the delay-budget cap, and trace tallies equal to the metrics
+# (docs/robustness.md); CI runs this.
 faults-smoke:
 	$(PYTHON) scripts/faults_smoke.py
 

@@ -2,12 +2,15 @@
 """Fault-matrix smoke check for the resilience layer (``make faults-smoke``).
 
 Runs a tiny grid of fault configurations through the cellular simulator and
-asserts the three invariants the layer guarantees (see docs/robustness.md):
+asserts the invariants the layer guarantees (see docs/robustness.md):
 
 1. a zero fault model builds no injector — bit-identical metrics to
    ``faults=None``;
 2. a faulty run is byte-for-byte reproducible from its seed;
-3. no call, however faulty, ever pages past the delay constraint ``d``.
+3. no synchronous call, however faulty, ever pages past the delay
+   constraint ``d``;
+4. the run's trace tallies equal its ``LinkUsageMetrics`` (one accounting,
+   docs/observability.md), on the synchronous and the contended path.
 
 Exits non-zero on the first violation; prints one summary line per cell of
 the matrix so CI logs show what was exercised.
@@ -21,6 +24,8 @@ from pathlib import Path
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+    from collections import Counter
+
     import numpy as np
 
     from repro.cellnet import (
@@ -33,11 +38,36 @@ if __name__ == "__main__":
         RecoveryPolicy,
         SimulationConfig,
     )
+    from repro.obs import summarize, tracing
 
     SEED = 11
     ROUNDS = 5
+    #: trace counter -> summary key it must equal
+    TRACED = {
+        "cellnet.calls": "calls",
+        "cellnet.cells_paged": "cells_paged",
+        "cellnet.fallback_searches": "fallbacks",
+        "cellnet.retries": "retry_rounds",
+        "cellnet.degraded_calls": "degraded_calls",
+        "faults.pages_lost": "pages_lost",
+        "faults.updates_lost": "updates_lost",
+        "faults.outage_pages": "outage_pages",
+        "faults.stale_lookups": "stale_lookups",
+        "engine.deferred_steps": "deferred_steps",
+        "engine.blocked_calls": "blocked_calls",
+    }
 
-    def run(faults=None, recovery=None, pager="heuristic"):
+    def trace_matches(report, trace):
+        summary = report.summary()
+        records = report.metrics.call_records
+        return all(
+            trace.counters.get(name, 0) == summary.get(key, 0)
+            for name, key in TRACED.items()
+        ) and trace.histograms.get("cellnet.rounds_to_find", {}) == dict(
+            Counter(record.rounds_used for record in records)
+        )
+
+    def run(faults=None, recovery=None, **options):
         topology = CellTopology.hexagonal_disk(2)
         plan = LocationAreaPlan.by_bfs(topology, 3)
         models = [RandomWalk(topology, stay_probability=0.3) for _ in range(4)]
@@ -46,33 +76,37 @@ if __name__ == "__main__":
             call_rate=0.1,
             max_paging_rounds=ROUNDS,
             reporting="la",
-            pager=pager,
             faults=faults,
             recovery=recovery,
+            **options,
         )
         rng = np.random.default_rng(SEED)
-        return CellularSimulator(topology, plan, models, config, rng=rng).run()
+        simulator = CellularSimulator(topology, plan, models, config, rng=rng)
+        with tracing(close=False) as tracer:
+            report = simulator.run()
+            tracer.flush()
+        return report, summarize(tracer.sink.events)
 
-    # (label, faults, recovery, pager)
+    # (label, faults, recovery, config options)
     matrix = [
-        ("zero", FaultModel(), None, "heuristic"),
+        ("zero", FaultModel(), None, {}),
         (
             "page-loss",
             FaultModel(page_loss=0.3),
             RecoveryPolicy(max_retries=1),
-            "heuristic",
+            {},
         ),
         (
             "batch-loss",
             FaultModel(page_loss=0.3),
             RecoveryPolicy(max_retries=1),
-            "heuristic-batch",
+            {"pager": "heuristic-batch"},
         ),
         (
             "lossy-cell",
             FaultModel(cell_page_loss={2: 0.9}),
             RecoveryPolicy(max_retries=2),
-            "heuristic",
+            {},
         ),
         (
             "outage+stale",
@@ -83,22 +117,31 @@ if __name__ == "__main__":
                 outages=(CellOutage(cell=4, start=30, end=80),),
             ),
             RecoveryPolicy(max_retries=1),
-            "heuristic",
+            {},
+        ),
+        (
+            "contended",
+            FaultModel(page_loss=0.3),
+            RecoveryPolicy(max_retries=1),
+            {"channel_capacity": 1, "carriers": 2},
         ),
     ]
 
-    baseline = run()
+    baseline, _ = run()
     failures = 0
-    for label, faults, recovery, pager in matrix:
-        first = run(faults=faults, recovery=recovery, pager=pager)
-        second = run(faults=faults, recovery=recovery, pager=pager)
+    for label, faults, recovery, options in matrix:
+        first, trace = run(faults=faults, recovery=recovery, **options)
+        second, _ = run(faults=faults, recovery=recovery, **options)
         checks = {
             "reproducible": first.metrics == second.metrics,
-            "within-budget": all(
+            "trace-matches-metrics": trace_matches(first, trace),
+        }
+        if "channel_capacity" not in options:
+            # queued setup may outlast d; only synchronous calls are capped
+            checks["within-budget"] = all(
                 record.rounds_used <= ROUNDS
                 for record in first.metrics.call_records
-            ),
-        }
+            )
         if label == "zero":
             checks["matches-fault-free"] = first.metrics == baseline.metrics
         summary = first.summary()

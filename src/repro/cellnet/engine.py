@@ -36,11 +36,10 @@ replays **bit-identically**: same rng stream, same reports
 (``tests/cellnet/test_legacy_equivalence.py`` pins it against golden
 summaries recorded from the pre-engine loop).
 
-Observability: the engine emits an ``engine.*`` event family through the
-active :mod:`repro.obs` tracer — ``engine.events.<kind>`` counters,
-``engine.queue_depth`` and ``engine.slot_occupancy`` histograms, and
-``engine.pages_sent`` / ``engine.deferred_steps`` / ``engine.blocked_calls``
-counters (docs/contention.md walks through a trace).
+Observability: the engine traces only what no metric records —
+``engine.events.<kind>`` counters and the ``engine.queue_depth`` /
+``engine.slot_occupancy`` histograms; its other ``engine.*`` tallies come
+from :class:`~repro.cellnet.metrics.LinkUsageMetrics` (docs/observability.md).
 """
 
 from __future__ import annotations
@@ -362,7 +361,6 @@ class ChannelScheduler:
     def _complete(self, call: PendingCall, time: int) -> None:
         if self._on_complete is not None:
             self._on_complete(call, time)
-        latency = time - call.request.time
         self._metrics.record_call(
             CallRecord(
                 time=call.request.time,
@@ -372,23 +370,9 @@ class ChannelScheduler:
                 used_fallback=call.used_fallback,
                 failed_devices=len(call.remaining),
                 retries=call.retries_used,
-                setup_latency=latency,
+                setup_latency=time - call.request.time,
             )
         )
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("cellnet.calls")
-            tracer.count("cellnet.cells_paged", call.cells_paged)
-            tracer.observe("cellnet.rounds_to_find", call.rounds_used)
-            tracer.observe("engine.setup_latency", latency)
-            if call.remaining:
-                tracer.count("cellnet.degraded_calls")
-
-    def _block(self, call: PendingCall, time: int) -> None:
-        self._metrics.record_blocked_call(time - call.request.time)
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("engine.blocked_calls")
 
     def serve_round(self, time: int, engine: EventEngine) -> None:
         """One shared paging round: every pending call, FIFO, slot-limited."""
@@ -421,9 +405,7 @@ class ChannelScheduler:
                 continue
             if sent == 0:
                 call.waited += 1
-                self._metrics.record_deferred_step()
-                if tracer.enabled:
-                    tracer.count("engine.deferred_steps")
+                self._metrics.deferred_steps += 1
                 if call.waited > self._max_wait:
                     blocked.append(call)
                 continue
@@ -440,12 +422,9 @@ class ChannelScheduler:
             self._complete(call, time)
         for call in blocked:
             self._queue.remove(call)
-            self._block(call, time)
-        used = resource.used_total
+            self._metrics.record_blocked_call(time - call.request.time)
         if tracer.enabled:
-            if used:
-                tracer.count("engine.pages_sent", used)
-            tracer.observe("engine.slot_occupancy", used)
+            tracer.observe("engine.slot_occupancy", resource.used_total)
         self._metrics.record_occupancy(resource.occupancy_snapshot())
 
     def drain(self, time: int) -> None:

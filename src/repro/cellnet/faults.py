@@ -20,8 +20,8 @@ This module makes those failure modes *representable and recoverable*:
 * :class:`FaultInjector` — draws concrete fault events from the simulation's
   seeded ``np.random.Generator`` (so a faulty run is reproducible
   byte-for-byte) and accounts for them in
-  :class:`~repro.cellnet.metrics.LinkUsageMetrics` and the active
-  :mod:`repro.obs` tracer.
+  :class:`~repro.cellnet.metrics.LinkUsageMetrics`, which emits the
+  ``faults.*`` trace counters at the end of a run.
 * :class:`ResilientPager` — the synchronous search: plans with the paper's
   machinery (Fig. 1 heuristic, or blanket paging) and executes the plan on
   :func:`~repro.cellnet.paging.execute_groups` under faults: lost pages go
@@ -51,7 +51,6 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
-from ..obs.instrument import count
 from ..solvers import get_solver
 from .metrics import LinkUsageMetrics
 from .paging import PAGER_SOLVERS, PagingOutcome, execute_groups, plan_groups
@@ -187,8 +186,8 @@ class FaultInjector:
     One injector per simulator run: it shares the simulator's seeded
     ``Generator`` so fault draws are part of the same reproducible stream,
     and it reports what it injected to the run's
-    :class:`~repro.cellnet.metrics.LinkUsageMetrics` plus the active
-    :mod:`repro.obs` tracer (``faults.*`` counters).
+    :class:`~repro.cellnet.metrics.LinkUsageMetrics` (a private one when
+    ``metrics`` is omitted).
     """
 
     def __init__(
@@ -199,22 +198,18 @@ class FaultInjector:
     ) -> None:
         self.model = model
         self._rng = rng
-        self._metrics = metrics
+        self._metrics = LinkUsageMetrics() if metrics is None else metrics
 
     def page_delivered(self, cell: int, time: int) -> bool:
         """One paging message to ``cell``: delivered, lost, or blocked."""
         if self.model.cell_down(cell, time):
-            if self._metrics is not None:
-                self._metrics.record_outage_page()
-            count("faults.outage_pages")
+            self._metrics.outage_pages += 1
             return False
         probability = self.model.loss_probability(cell)
         if probability <= 0.0:
             return True
         if self._rng.random() < probability:
-            if self._metrics is not None:
-                self._metrics.record_page_lost()
-            count("faults.pages_lost")
+            self._metrics.pages_lost += 1
             return False
         return True
 
@@ -224,9 +219,7 @@ class FaultInjector:
         if probability <= 0.0:
             return True
         if self._rng.random() < probability:
-            if self._metrics is not None:
-                self._metrics.record_update_lost()
-            count("faults.updates_lost")
+            self._metrics.updates_lost += 1
             return False
         return True
 

@@ -17,12 +17,18 @@ Long runs can opt out of the unbounded per-call record list with
 ``record_calls=False``: every aggregate counter — and therefore
 ``summary()`` — stays exact, only the ``call_records`` detail is dropped
 (``tests/cellnet/test_calls_metrics.py`` pins the equality).
+
+It is the run's one accounting: :meth:`LinkUsageMetrics.emit_trace` emits
+the ``cellnet.*``, ``faults.*`` and ``engine.*`` trace tallies from its
+fields (docs/observability.md), so summaries and traces cannot disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
+
+from ..obs.events import Tracer
 
 
 @dataclass
@@ -80,6 +86,10 @@ class LinkUsageMetrics:
     #: registry lookups whose confirmed fix had aged past the staleness window
     stale_lookups: int = 0
     rounds_histogram: Dict[int, int] = field(default_factory=dict)
+    #: cells paged by one call -> calls
+    cells_paged_histogram: Dict[int, int] = field(default_factory=dict)
+    #: participants given up on by one call -> calls
+    failed_devices_histogram: Dict[int, int] = field(default_factory=dict)
     call_records: List[CallRecord] = field(default_factory=list)
     #: keep the per-call record list (False: aggregates only, bounded memory)
     record_calls: bool = True
@@ -111,28 +121,15 @@ class LinkUsageMetrics:
             self.degraded_calls += 1
             self.failed_device_count += record.failed_devices
         self.retry_rounds += record.retries
-        self.rounds_histogram[record.rounds_used] = (
-            self.rounds_histogram.get(record.rounds_used, 0) + 1
-        )
-        latency = int(record.setup_latency)
-        self.setup_latency_histogram[latency] = (
-            self.setup_latency_histogram.get(latency, 0) + 1
-        )
+        for histogram, value in (
+            (self.rounds_histogram, record.rounds_used),
+            (self.cells_paged_histogram, record.cells_paged),
+            (self.failed_devices_histogram, record.failed_devices),
+            (self.setup_latency_histogram, int(record.setup_latency)),
+        ):
+            histogram[value] = histogram.get(value, 0) + 1
         if self.record_calls:
             self.call_records.append(record)
-
-    # -- fault accounting (driven by cellnet.faults.FaultInjector) ------
-    def record_page_lost(self) -> None:
-        self.pages_lost += 1
-
-    def record_update_lost(self) -> None:
-        self.updates_lost += 1
-
-    def record_outage_page(self) -> None:
-        self.outage_pages += 1
-
-    def record_stale_lookup(self) -> None:
-        self.stale_lookups += 1
 
     # -- contention accounting (driven by cellnet.engine) ---------------
     def record_offered_call(self) -> None:
@@ -140,9 +137,6 @@ class LinkUsageMetrics:
 
     def record_blocked_call(self, waited_steps: int) -> None:
         self.blocked_calls += 1
-
-    def record_deferred_step(self) -> None:
-        self.deferred_steps += 1
 
     def record_occupancy(self, slots_used: Sequence[int]) -> None:
         """Fold one round's per-cell slot usage into the histogram."""
@@ -181,13 +175,54 @@ class LinkUsageMetrics:
         return _percentile_from_histogram(self.setup_latency_histogram, q)
 
     @property
+    def pages_sent(self) -> int:
+        """Page slots used on the shared channels, blocked calls' included."""
+        return sum(slots * cells for slots, cells in self.channel_occupancy.items())
+
+    @property
     def mean_channel_occupancy(self) -> float:
         """Mean page slots used per cell per round (contention mode)."""
         total = sum(self.channel_occupancy.values())
         if total == 0:
             return 0.0
-        used = sum(slots * count for slots, count in self.channel_occupancy.items())
-        return used / total
+        return self.pages_sent / total
+
+    def emit_trace(self, tracer: Tracer) -> None:
+        """Emit the run's tallies to ``tracer``, once at the end of a run.
+
+        The tracer aggregates until ``flush``, so this equals counting each
+        event as it happened.  Counters are emitted only when non-zero
+        (``cellnet.cells_paged`` whenever a call was handled).
+        """
+        if not tracer.enabled:
+            return
+        if self.calls_handled:
+            tracer.count("cellnet.cells_paged", self.cells_paged)
+        for name, value in (
+            ("cellnet.calls", self.calls_handled),
+            ("cellnet.fallback_searches", self.fallback_searches),
+            ("cellnet.retries", self.retry_rounds),
+            ("cellnet.degraded_calls", self.degraded_calls),
+            ("faults.pages_lost", self.pages_lost),
+            ("faults.updates_lost", self.updates_lost),
+            ("faults.outage_pages", self.outage_pages),
+            ("faults.stale_lookups", self.stale_lookups),
+            ("engine.pages_sent", self.pages_sent),
+            ("engine.deferred_steps", self.deferred_steps),
+            ("engine.blocked_calls", self.blocked_calls),
+        ):
+            if value:
+                tracer.count(name, value)
+        histograms = {
+            "cellnet.rounds_to_find": self.rounds_histogram,
+            "cellnet.cells_paged_per_call": self.cells_paged_histogram,
+            "cellnet.failed_devices_per_call": self.failed_devices_histogram,
+        }
+        if self.contention:  # synchronous calls all have latency 0
+            histograms["engine.setup_latency"] = self.setup_latency_histogram
+        for name, histogram in histograms.items():
+            for value, calls in histogram.items():
+                tracer.observe(name, value, calls)
 
     def summary(self) -> Dict[str, float]:
         """A flat dict for tables and benchmark output.

@@ -34,6 +34,7 @@ a channel-occupancy histogram (docs/contention.md).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -131,6 +132,11 @@ class SimulationConfig:
             raise SimulationError("max_paging_rounds must be positive")
         if self.mean_call_duration < 0:
             raise SimulationError("mean_call_duration must be non-negative")
+        if not (math.isfinite(self.prior_smoothing) and self.prior_smoothing >= 0):
+            raise SimulationError(
+                f"prior_smoothing must be finite and non-negative, "
+                f"got {self.prior_smoothing}"
+            )
         if self.pager not in PAGER_SOLVERS:
             raise SimulationError(
                 f"unknown pager {self.pager!r}; choose from {sorted(PAGER_SOLVERS)}"
@@ -220,6 +226,13 @@ class CellularSimulator:
             contention=config.contention_active,
         )
         self._policy = self._build_policy()
+        faults = config.faults or FaultModel()
+        for cell in [o.cell for o in faults.outages] + list(faults.cell_page_loss):
+            if int(cell) >= topology.num_cells:
+                raise SimulationError(
+                    f"fault model names cell {cell}, but the network has "
+                    f"num_cells={topology.num_cells}"
+                )
         # A zero fault model builds no injector: no extra rng draws,
         # bit-identical runs to the fault-free engine on the same seed.
         self._injector: Optional[FaultInjector] = None
@@ -336,10 +349,7 @@ class CellularSimulator:
             return (confirmed,)
         if record.confirmed_cell is not None:
             # a fix existed but aged out of the staleness window
-            self._metrics.record_stale_lookup()
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.count("faults.stale_lookups")
+            self._metrics.stale_lookups += 1
         config = self._config
         if config.reporting == "always":
             assert record.reported_cell is not None
@@ -482,22 +492,6 @@ class CellularSimulator:
                 retries=outcome.retries_used,
             )
         )
-        tracer = current_tracer()
-        if tracer.enabled:
-            tracer.count("cellnet.calls")
-            tracer.count("cellnet.cells_paged", outcome.cells_paged)
-            tracer.observe("cellnet.rounds_to_find", outcome.rounds_used)
-            tracer.observe("cellnet.cells_paged_per_call", outcome.cells_paged)
-            if outcome.used_fallback:
-                tracer.count("cellnet.fallback_searches")
-            if outcome.retries_used:
-                tracer.count("cellnet.retries", outcome.retries_used)
-            if self._injector is not None:
-                tracer.observe(
-                    "cellnet.failed_devices_per_call", len(outcome.failed_devices)
-                )
-                if outcome.failed_devices:
-                    tracer.count("cellnet.degraded_calls")
         return outcome
 
     # -- engine wiring --------------------------------------------------
@@ -621,6 +615,7 @@ class CellularSimulator:
             engine.run(self._config.horizon)
             if self._scheduler is not None:
                 self._scheduler.drain(self._config.horizon)
+            self._metrics.emit_trace(current_tracer())
         return SimulationReport(
             metrics=self._metrics,
             config=self._config,

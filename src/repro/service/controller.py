@@ -248,8 +248,6 @@ class PagingController:
             _Shard(index, self.config.cache_size)
             for index in range(self.config.num_shards)
         ]
-        self._requests_total = 0
-        self._hits_total = 0
         self._sheds_total = 0
         self._batches_total = 0
         self._planned_total = 0
@@ -257,7 +255,6 @@ class PagingController:
     # -- the hot path --------------------------------------------------
     def submit(self, request: PlanRequest) -> PlanTicket:
         """Admit one request: answer from cache, enqueue, or shed."""
-        self._requests_total += 1
         count("service.requests")
         shard = self._shards[self._shard_map(request.area)]
         shard.requests += 1
@@ -270,7 +267,6 @@ class PagingController:
         )
         plan = shard.cache.get(key)
         if plan is not None:
-            self._hits_total += 1
             count("service.cache_hit")
             return PlanTicket(request, shard.index, "ok", plan, cache_hit=True)
         if shard.pending >= self._max_pending:
@@ -445,8 +441,9 @@ class PagingController:
         for shard in self._shards:
             for name, value in shard.cache.counters().items():
                 cache_totals[name] += value
-        requests = self._requests_total
-        hit_rate = self._hits_total / requests if requests else 0.0
+        # every submit runs PlanCache.get exactly once: hits are cache hits
+        requests = sum(shard.requests for shard in self._shards)
+        hit_rate = cache_totals["hits"] / requests if requests else 0.0
         batches = self._batches_total
         mean_batch = self._planned_total / batches if batches else 0.0
         return {
@@ -455,7 +452,7 @@ class PagingController:
             "num_shards": self.config.num_shards,
             "quantization_step": self._step,
             "requests": requests,
-            "cache_hits": self._hits_total,
+            "cache_hits": cache_totals["hits"],
             "hit_rate": hit_rate,
             "sheds": self._sheds_total,
             "batches": batches,

@@ -335,6 +335,26 @@ class TestSimulatorIntegration:
         report = CellularSimulator(topology, plan, models, config, rng=rng).run()
         assert report.metrics.stale_lookups > 0
 
+    @pytest.mark.parametrize("capacity", [None, 1])
+    @pytest.mark.parametrize(
+        "faults, cell",
+        [
+            (FaultModel(outages=(CellOutage(cell=999, start=0, end=50),)), 999),
+            (FaultModel(cell_page_loss={500: 1.0}), 500),
+            (FaultModel(cell_page_loss={19: 0.5}), 19),
+        ],
+        ids=["outage", "cell-page-loss", "first-missing-id"],
+    )
+    def test_rejects_fault_cells_outside_the_network(self, faults, cell, capacity):
+        with pytest.raises(SimulationError, match=rf"cell {cell}\b.*num_cells=19"):
+            build_simulator(faults=faults, channel_capacity=capacity)
+
+    def test_accepts_the_last_cell_id(self):
+        faults = FaultModel(
+            cell_page_loss={18: 1.0}, outages=(CellOutage(cell=18, start=0, end=5),)
+        )
+        assert build_simulator(faults=faults).run().metrics.calls_handled > 0
+
     def test_config_validates_fault_types(self):
         with pytest.raises(SimulationError):
             SimulationConfig(faults="lossy")

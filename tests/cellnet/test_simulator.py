@@ -42,6 +42,15 @@ class TestConfig:
         with pytest.raises(SimulationError):
             SimulationConfig(horizon=0)
 
+    @pytest.mark.parametrize("smoothing", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_negative_or_nonfinite_prior_smoothing(self, smoothing):
+        with pytest.raises(SimulationError, match="prior_smoothing"):
+            SimulationConfig(prior_smoothing=smoothing)
+
+    def test_zero_prior_smoothing_gives_a_valid_prior(self):
+        prior = build_simulator(prior_smoothing=0.0).estimated_prior(0)
+        assert np.all(prior >= 0) and prior.sum() == pytest.approx(1.0)
+
 
 class TestRun:
     def test_all_calls_succeed(self):

@@ -308,6 +308,20 @@ class TestStatsAndObservability:
         assert stats["cache"]["size"] == 1
         assert sum(stats["shard_requests"]) == 2
 
+    def test_stats_count_every_submit_across_shards_and_invalidation(self):
+        controller = PagingController(ServiceConfig(num_shards=3))
+        requests = [PlanRequest(f"la-{i % 4}", _profile(i % 2), 3) for i in range(8)]
+        tickets = controller.run(requests)
+        tickets += controller.run(requests)  # every profile is cached now
+        controller.invalidate()
+        tickets += controller.run(requests)
+        stats = controller.stats()
+        hits = sum(ticket.cache_hit for ticket in tickets)
+        assert hits > 0
+        assert stats["requests"] == len(tickets) == sum(stats["shard_requests"])
+        assert stats["cache_hits"] == hits == stats["cache"]["hits"]
+        assert stats["hit_rate"] == pytest.approx(hits / len(tickets))
+
     def test_service_events_are_emitted_under_a_tracer(self):
         sink = MemorySink()
         with use_tracer(Tracer(sink)):
